@@ -87,13 +87,7 @@ impl AutoNuma {
             segment.for_each_run(0, segment.len(), |run_start, run_len, at| {
                 if at != owner {
                     let take = run_len.min(*budget_pages - queued);
-                    moves.push(PendingRange {
-                        segment: seg,
-                        start: run_start,
-                        len: take,
-                        from: at,
-                        to: owner,
-                    });
+                    moves.push(PendingRange::run(seg, run_start, take, at, owner));
                     queued += take;
                 }
                 queued < *budget_pages
@@ -152,13 +146,7 @@ impl AutoNuma {
                         }
                         let accepts = remaining[di].ceil().max(1.0) as u64;
                         let take = (run_len - off).min(accepts).min(*budget_pages - queued);
-                        moves.push(PendingRange {
-                            segment: shared,
-                            start: run_start + off,
-                            len: take,
-                            from: at,
-                            to,
-                        });
+                        moves.push(PendingRange::run(shared, run_start + off, take, at, to));
                         remaining[di] -= take as f64;
                         if remaining[di] <= 0.0 {
                             di += 1;

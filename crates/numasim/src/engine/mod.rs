@@ -21,7 +21,7 @@ use crate::daemon::Daemon;
 use crate::error::SimError;
 use crate::mem::address_space::AddressSpace;
 use crate::mem::frames::FramePools;
-use crate::mem::migrate::{MigrationQueue, PendingMove, PendingRange};
+use crate::mem::migrate::{CompletionScratch, MigrationQueue, PendingRange};
 use crate::mem::policy::MemPolicy;
 use crate::mem::segment::{SegmentId, SegmentKind};
 use crate::perf::{PerfCounters, ProcessSample};
@@ -205,10 +205,8 @@ struct StepScratch {
     pair_count: Vec<u64>,
     /// `(from, to)` pairs in first-appearance (FIFO) order.
     pair_order: Vec<(u16, u16)>,
-    /// Ranges completed this epoch.
-    completed: Vec<PendingRange>,
-    /// Constant-node runs of the range being applied.
-    runs_buf: Vec<(u64, u64, NodeId)>,
+    /// Migration-completion buffers.
+    completion: CompletionScratch,
 }
 
 /// The simulated machine + OS. See module docs.
@@ -530,9 +528,10 @@ impl Simulator {
     /// pages; they move at the migration engine's rate over the following
     /// epochs. Returns the number of queued page moves.
     ///
-    /// Non-compliance is computed per placement run (O(extents + policy
-    /// blocks), not O(pages)) and queued as [`PendingRange`]s; without
-    /// `move_pages` the call returns after validation, before any scan.
+    /// Non-compliance is computed per placement piece (O(extents + policy
+    /// blocks), not O(pages)) and queued as one [`PendingRange`] span per
+    /// piece; without `move_pages` the call returns after validation,
+    /// before any scan.
     pub fn mbind(
         &mut self,
         pid: ProcessId,
@@ -554,22 +553,16 @@ impl Simulator {
                 return Ok(0);
             }
             segment
-                .non_complying_runs(start, len, &policy, master)?
+                .non_complying_spans(start, len, &policy, master)?
                 .into_iter()
-                .map(|r| PendingRange {
-                    segment: seg,
-                    start: r.start,
-                    len: r.len,
-                    from: r.from,
-                    to: r.to,
-                })
+                .map(|span| PendingRange { segment: seg, span })
                 .collect()
         };
         // A new mbind over the range supersedes any moves still queued for
         // it (the latest policy wins, as with Linux's synchronous mbind).
         let proc_ = self.process_mut(pid)?;
         proc_.migrations.cancel_range(seg, start, len);
-        let count: u64 = pending.iter().map(|r| r.len).sum();
+        let count: u64 = pending.iter().map(|r| r.span.pages()).sum();
         proc_.migrations.enqueue_ranges(pending);
         if count > 0 {
             if let Some(tr) = self.trace.as_mut() {
@@ -603,17 +596,6 @@ impl Simulator {
             total += self.mbind(pid, id, 0, len, policy.clone(), move_pages)?;
         }
         Ok(total)
-    }
-
-    /// Directly enqueue single-page moves (tests and per-page callers;
-    /// contiguous moves coalesce into ranges in the queue).
-    pub fn enqueue_moves(
-        &mut self,
-        pid: ProcessId,
-        moves: Vec<PendingMove>,
-    ) -> Result<(), SimError> {
-        self.process_mut(pid)?.migrations.enqueue(moves);
-        Ok(())
     }
 
     /// Directly enqueue page-move ranges (used by AutoNUMA and tests).
@@ -828,19 +810,14 @@ impl Simulator {
                 scratch.pair_count[f as usize * n + t as usize] = 0;
             }
             scratch.pair_order.clear();
-            let mut left = attempt as u64;
-            for r in p.migrations.ranges() {
-                if left == 0 {
-                    break;
+            let (pair_count, pair_order) = (&mut scratch.pair_count, &mut scratch.pair_order);
+            p.migrations.for_each_head_pair(attempt as u64, |from, to, pages| {
+                let key = from.idx() * n + to.idx();
+                if pair_count[key] == 0 {
+                    pair_order.push((from.0, to.0));
                 }
-                let take = r.len.min(left);
-                left -= take;
-                let key = r.from.0 as usize * n + r.to.0 as usize;
-                if scratch.pair_count[key] == 0 {
-                    scratch.pair_order.push((r.from.0, r.to.0));
-                }
-                scratch.pair_count[key] += take;
-            }
+                pair_count[key] += pages;
+            });
             scratch.ds.begin_group((1u64 << 63) | p.id.0 as u64, 1.0, 1.0);
             for &(from, to) in &scratch.pair_order {
                 let count = scratch.pair_count[from as usize * n + to as usize];
@@ -907,7 +884,8 @@ impl Simulator {
         let scratch = &mut self.scratch;
         let app_groups = scratch.app_meta.len();
 
-        // 5. Complete migrations, range by range.
+        // 5. Complete migrations: each process's completed queue prefix is
+        // applied in one merge pass per segment.
         for mi in 0..scratch.mig_meta.len() {
             let att = &scratch.mig_meta[mi];
             let u = scratch.solved.outcomes[app_groups + mi].activity;
@@ -919,44 +897,18 @@ impl Simulator {
             }
             self.procs[pid.0].migration_credit -= completed as f64;
             let completed_pages = completed as u64;
-            scratch.completed.clear();
-            self.procs[pid.0].migrations.complete_into(completed, &mut scratch.completed);
-            let StepScratch { completed, runs_buf, .. } = &mut *scratch;
-            for r in completed.iter() {
-                // A later mbind may have re-queued these pages while the
-                // range was pending: trust the page table, not the stale
-                // `from` recorded at enqueue time.
-                runs_buf.clear();
-                {
-                    let seg = self.procs[pid.0].aspace.segment(r.segment).expect("segment exists");
-                    seg.for_each_run(r.start, r.len, |a, l, node| {
-                        runs_buf.push((a, l, node));
-                        true
-                    });
-                }
-                for &(run_start, run_len, current) in runs_buf.iter() {
-                    if current == r.to {
-                        continue;
-                    }
-                    // Best-effort: drop what the destination cannot hold
-                    // (free frames only shrink while a range applies, so
-                    // the first `m` movable pages land, as per-page did).
-                    let m = run_len.min(self.frames.free(r.to));
-                    if m == 0 {
-                        continue;
-                    }
-                    self.frames.alloc(r.to, m).expect("free frames checked");
-                    self.frames.release(current, m);
-                    self.procs[pid.0]
-                        .aspace
-                        .segment_mut(r.segment)
-                        .expect("segment exists")
-                        .relocate_run(run_start, m, r.to);
-                    let bytes = m as f64 * PAGE_SIZE as f64;
-                    self.counters.record_flow(pid, current.idx(), r.to.idx(), bytes, 0.0);
-                    self.counters.record_flow(pid, r.to.idx(), r.to.idx(), 0.0, bytes);
-                }
-            }
+            let counters = &mut self.counters;
+            let proc_ = &mut self.procs[pid.0];
+            let entries = proc_.migrations.complete_and_apply(
+                completed,
+                &mut proc_.aspace,
+                &mut self.frames,
+                &mut scratch.completion,
+                |from, to, pages| {
+                    let bytes = pages as f64 * PAGE_SIZE as f64;
+                    counters.record_migration(pid, from.idx(), to.idx(), bytes);
+                },
+            );
             if let Some(tr) = self.trace.as_mut() {
                 tr.instant(
                     "migrate",
@@ -964,7 +916,7 @@ impl Simulator {
                     trace::process_track(pid),
                     vec![
                         ("pages".into(), ArgValue::U64(completed_pages)),
-                        ("ranges".into(), ArgValue::U64(completed.len() as u64)),
+                        ("ranges".into(), ArgValue::U64(entries as u64)),
                     ],
                 );
             }

@@ -4,11 +4,13 @@
 pub mod address_space;
 pub mod frames;
 pub mod migrate;
+pub mod pattern;
 pub mod policy;
 pub mod segment;
 
 pub use address_space::AddressSpace;
 pub use frames::FramePools;
-pub use migrate::{MigrationQueue, PendingMove, PendingRange};
+pub use migrate::{CompletionScratch, MigrationQueue, PendingRange};
+pub use pattern::{MoveSpan, Pattern};
 pub use policy::MemPolicy;
-pub use segment::{MoveRun, Segment, SegmentId, SegmentKind};
+pub use segment::{Segment, SegmentId, SegmentKind};

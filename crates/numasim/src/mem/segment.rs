@@ -29,6 +29,7 @@
 
 use crate::error::SimError;
 use crate::mem::frames::FramePools;
+use crate::mem::pattern::{MoveSpan, Pattern};
 use crate::mem::policy::MemPolicy;
 use bwap_topology::NodeId;
 
@@ -49,17 +50,6 @@ pub enum SegmentKind {
     },
 }
 
-/// Node-assignment rule of one extent.
-#[derive(Debug, Clone, PartialEq)]
-enum Pattern {
-    /// Every page of the extent lives on one node.
-    Const(NodeId),
-    /// Page `p` (extent-relative) lives on `nodes[p % nodes.len()]` — the
-    /// shape a round-robin interleave (possibly with spill substitutions)
-    /// lays down. The phase is folded into the rotation of `nodes`.
-    Cycle(Box<[NodeId]>),
-}
-
 /// A run of contiguous pages sharing one placement rule.
 #[derive(Debug, Clone, PartialEq)]
 struct Extent {
@@ -72,92 +62,36 @@ impl Extent {
     /// Node of absolute page `page` (must lie inside the extent).
     fn node_at(&self, page: u64) -> NodeId {
         debug_assert!(page >= self.start && page < self.start + self.len);
-        match &self.pat {
-            Pattern::Const(n) => *n,
-            Pattern::Cycle(nodes) => nodes[((page - self.start) % nodes.len() as u64) as usize],
-        }
+        self.pat.node_at(page)
     }
 
     fn end(&self) -> u64 {
         self.start + self.len
     }
-
-    /// Visit `(node, pages)` counts for the absolute sub-range `[a, b)`.
-    fn for_each_count(&self, a: u64, b: u64, mut f: impl FnMut(NodeId, u64)) {
-        debug_assert!(a >= self.start && b <= self.end() && a <= b);
-        if a == b {
-            return;
-        }
-        match &self.pat {
-            Pattern::Const(n) => f(*n, b - a),
-            Pattern::Cycle(nodes) => {
-                let k = nodes.len() as u64;
-                let (ra, rb) = (a - self.start, b - self.start);
-                for (j, &n) in nodes.iter().enumerate() {
-                    let c = slot_count(ra, rb, k, j as u64);
-                    if c > 0 {
-                        f(n, c);
-                    }
-                }
-            }
-        }
-    }
 }
 
-/// Number of integers `i` in `[a, b)` with `i % k == j`.
-fn slot_count(a: u64, b: u64, k: u64, j: u64) -> u64 {
-    let upto = |x: u64| if x <= j { 0 } else { (x - j - 1) / k + 1 };
-    upto(b) - upto(a)
-}
-
-/// One maximal run of non-complying pages an `mbind` would migrate: `len`
-/// consecutive pages starting at `start`, all currently on `from`, all
-/// targeted at `to`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MoveRun {
-    /// First page of the run (segment-absolute).
-    pub start: u64,
-    /// Pages in the run.
-    pub len: u64,
-    /// Node currently holding the run.
-    pub from: NodeId,
-    /// Node the policy assigns the run to.
-    pub to: NodeId,
-}
-
-/// The target pattern of a policy over one block of a range.
-enum TargetPat {
-    Const(NodeId),
-    /// Relative page `r` of the *whole policy range* targets
-    /// `nodes[r % nodes.len()]`.
-    Cycle(Vec<NodeId>),
-}
-
-/// Decompose `policy` over a range of `range_len` pages into blocks of
-/// regular structure, each `(rel_start, len, pattern)`. Exactly mirrors
-/// `MemPolicy::target_node` page by page: weighted-interleave block
-/// boundaries are found by binary search over the *original* per-page
-/// predicate (its mapping is monotone in the page index), so no float
-/// re-derivation can drift from the historical placement.
+/// Decompose `policy` over the `range_len` pages starting at page
+/// `start` into blocks of regular structure, each
+/// `(rel_start, len, pattern)` with the pattern in absolute page
+/// coordinates. Exactly mirrors `MemPolicy::target_node` page by page:
+/// weighted-interleave block boundaries are found by binary search over
+/// the *original* per-page predicate (its mapping is monotone in the page
+/// index), so no float re-derivation can drift from the historical
+/// placement.
 fn policy_blocks(
     policy: &MemPolicy,
+    start: u64,
     range_len: u64,
     toucher: NodeId,
-) -> Vec<(u64, u64, TargetPat)> {
+) -> Vec<(u64, u64, Pattern)> {
     if range_len == 0 {
         return Vec::new();
     }
     match policy {
-        MemPolicy::FirstTouch => vec![(0, range_len, TargetPat::Const(toucher))],
-        MemPolicy::Bind(n) => vec![(0, range_len, TargetPat::Const(*n))],
-        MemPolicy::Interleave(set) => {
-            let nodes = set.to_vec();
-            if nodes.len() == 1 {
-                vec![(0, range_len, TargetPat::Const(nodes[0]))]
-            } else {
-                vec![(0, range_len, TargetPat::Cycle(nodes))]
-            }
-        }
+        MemPolicy::FirstTouch => vec![(0, range_len, Pattern::Const(toucher))],
+        MemPolicy::Bind(n) => vec![(0, range_len, Pattern::Const(*n))],
+        // Relative page `r` of the range targets `nodes[r % nodes.len()]`.
+        MemPolicy::Interleave(set) => vec![(0, range_len, Pattern::cycle(&set.to_vec(), start))],
         MemPolicy::WeightedInterleave(_) => {
             let mut blocks = Vec::new();
             let mut cur = 0u64;
@@ -173,7 +107,7 @@ fn policy_blocks(
                         hi = mid;
                     }
                 }
-                blocks.push((cur, hi - cur, TargetPat::Const(node)));
+                blocks.push((cur, hi - cur, Pattern::Const(node)));
                 cur = hi;
             }
             blocks
@@ -247,16 +181,19 @@ impl Segment {
             compact_watermark: COMPACT_WATERMARK,
             creation_policy: policy.clone(),
         };
-        for (_, block_len, pat) in policy_blocks(policy, len, toucher) {
+        for (_, block_len, pat) in policy_blocks(policy, 0, len, toucher) {
             match pat {
-                TargetPat::Const(target) => {
+                Pattern::Const(target) => {
                     for (node, granted) in
                         frames.alloc_run(target, &fallback[target.idx()], block_len)?
                     {
                         seg.push_const(node, granted);
                     }
                 }
-                TargetPat::Cycle(nodes) => seg.place_cycle(&nodes, block_len, frames, fallback)?,
+                // Anchored at page 0, so `nodes` starts at the block's slot 0.
+                Pattern::Cycle { nodes, .. } => {
+                    seg.place_cycle(&nodes, block_len, frames, fallback)?
+                }
             }
         }
         debug_assert_eq!(seg.len, len);
@@ -352,14 +289,13 @@ impl Segment {
         if len == 0 {
             return;
         }
-        if nodes.iter().all(|&n| n == nodes[0]) || len == 1 {
-            self.push_const(nodes[0], len);
+        let pat = if len == 1 { Pattern::Const(nodes[0]) } else { Pattern::cycle(nodes, self.len) };
+        if let Pattern::Const(n) = pat {
+            self.push_const(n, len);
             return;
         }
-        let ext =
-            Extent { start: self.len, len, pat: Pattern::Cycle(nodes.to_vec().into_boxed_slice()) };
-        ext.for_each_count(ext.start, ext.end(), |n, c| self.node_counts[n.idx()] += c);
-        self.extents.push(ext);
+        pat.for_each_count(self.len, self.len + len, |n, c| self.node_counts[n.idx()] += c);
+        self.extents.push(Extent { start: self.len, len, pat });
         self.len += len;
     }
 
@@ -392,7 +328,7 @@ impl Segment {
             .iter()
             .map(|e| match &e.pat {
                 Pattern::Const(_) => 0,
-                Pattern::Cycle(nodes) => nodes.len() * std::mem::size_of::<NodeId>(),
+                Pattern::Cycle { nodes, .. } => nodes.len() * std::mem::size_of::<NodeId>(),
             })
             .sum();
         ext + cycles + self.node_counts.capacity() * std::mem::size_of::<u64>()
@@ -451,52 +387,112 @@ impl Segment {
         self.relocate_run(i, 1, to);
     }
 
-    /// Move the `len` pages starting at `start` to `to`, splitting the
-    /// overlapped extents — the O(extents) bulk form of
-    /// [`Segment::relocate`] the range-based migration engine uses.
+    /// Move the `len` pages starting at `start` to `to` (one
+    /// [`Segment::write_spans`] pass).
     pub fn relocate_run(&mut self, start: u64, len: u64, to: NodeId) {
-        assert!(start + len <= self.len, "relocate_run out of bounds");
+        self.write_spans([(start, len, &Pattern::Const(to))]);
+    }
+
+    /// Whether every page of `[start, start+len)` lives where `pat` says.
+    /// O(extents in the range × pattern period).
+    pub(crate) fn holds(&self, start: u64, len: u64, pat: &Pattern) -> bool {
+        assert!(start + len <= self.len, "holds out of bounds");
         if len == 0 {
-            return;
+            return true;
         }
         let end = start + len;
-        let i0 = self.extent_index(start);
-        let mut i1 = i0;
-        while self.extents[i1].end() < end {
-            i1 += 1;
+        let mut pos = start;
+        let mut idx = self.extent_index(start);
+        while pos < end {
+            let e = &self.extents[idx];
+            let piece_end = e.end().min(end);
+            let same = match (&e.pat, pat) {
+                (Pattern::Const(a), Pattern::Const(b)) => a == b,
+                (a, b) => {
+                    // Both sides repeat within the product of their periods.
+                    let span = (a.period() * b.period()).min(piece_end - pos);
+                    (pos..pos + span).all(|p| a.node_at(p) == b.node_at(p))
+                }
+            };
+            if !same {
+                return false;
+            }
+            pos = piece_end;
+            idx += 1;
         }
-        // Histogram: drop the overlapped pages' old homes, add the new one.
-        let mut counts_delta_applied = 0u64;
-        for e in &self.extents[i0..=i1] {
-            let (a, b) = (start.max(e.start), end.min(e.end()));
+        true
+    }
+
+    /// Overwrite ascending, disjoint page spans `(start, len, pattern)`
+    /// with new placements in **one** merge pass over the extent list:
+    /// untouched extents are carried over, cut extents are re-anchored
+    /// without copying their cycles, and each span becomes one extent
+    /// (merged with equal neighbors). The histogram follows; frame
+    /// accounting is the caller's (the migration engine keeps it in one
+    /// place). O(extents + spans), then a compaction check.
+    pub fn write_spans<'a>(&mut self, spans: impl IntoIterator<Item = (u64, u64, &'a Pattern)>) {
+        let old = std::mem::take(&mut self.extents);
+        let mut out: Vec<Extent> = Vec::with_capacity(old.len() + 2);
+        let mut rest = old.into_iter();
+        // The not-yet-consumed part of the current old extent.
+        let mut cur = rest.next();
+        let mut last_end = 0u64;
+        for (ws, wl, pat) in spans {
+            if wl == 0 {
+                continue;
+            }
+            let we = ws + wl;
+            assert!(ws >= last_end && we <= self.len, "spans must ascend inside the segment");
+            last_end = we;
+            // Carry over everything before the span, cutting the extent
+            // that straddles its start.
+            loop {
+                let e = cur.as_mut().expect("span lies inside the segment");
+                if e.end() <= ws {
+                    append_extent(&mut out, cur.take().expect("checked"));
+                    cur = rest.next();
+                    continue;
+                }
+                if e.start < ws {
+                    append_extent(
+                        &mut out,
+                        Extent { start: e.start, len: ws - e.start, pat: e.pat.clone() },
+                    );
+                    e.len = e.end() - ws;
+                    e.start = ws;
+                }
+                break;
+            }
+            // Drop the overwritten pages' old homes from the histogram.
+            loop {
+                let e = cur.as_mut().expect("span lies inside the segment");
+                let (a, b, e_end) = (e.start, e.end().min(we), e.end());
+                let counts = &mut self.node_counts;
+                e.pat.for_each_count(a, b, |n, c| counts[n.idx()] -= c);
+                if e_end > we {
+                    e.start = we;
+                    e.len = e_end - we;
+                    break;
+                }
+                cur = rest.next();
+                if e_end == we {
+                    break;
+                }
+            }
             let counts = &mut self.node_counts;
-            e.for_each_count(a, b, |n, c| {
-                counts[n.idx()] -= c;
-                counts_delta_applied += c;
-            });
+            pat.for_each_count(ws, we, |n, c| counts[n.idx()] += c);
+            append_extent(&mut out, Extent { start: ws, len: wl, pat: pat.clone() });
         }
-        debug_assert_eq!(counts_delta_applied, len);
-        self.node_counts[to.idx()] += len;
-        // Rebuild the overlapped span: prefix of the first extent, the new
-        // constant run, suffix of the last extent.
-        let mut replacement: Vec<Extent> = Vec::with_capacity(3);
-        let first = &self.extents[i0];
-        if first.start < start {
-            replacement.push(trim(first, first.start, start));
+        for e in cur.into_iter().chain(rest) {
+            append_extent(&mut out, e);
         }
-        replacement.push(Extent { start, len, pat: Pattern::Const(to) });
-        let last = &self.extents[i1];
-        if last.end() > end {
-            replacement.push(trim(last, end, last.end()));
-        }
-        self.extents.splice(i0..=i1, replacement);
-        self.merge_around(i0);
+        self.extents = out;
         self.maybe_compact();
     }
 
     /// Run a compaction pass when fragmentation crosses the watermark.
-    /// Migrating a range *into* an interleave pattern (the paper's
-    /// user-level Algorithm 1) splits constant extents into per-page
+    /// Migrating a range *into* an interleave pattern page by page (the
+    /// capacity-drop path, AutoNUMA) splits constant extents into per-page
     /// singletons; the drained region is exactly periodic, so compaction
     /// re-fuses those stretches into `Cycle` extents and the list stays
     /// O(pattern) instead of O(pages). Purely representational: the
@@ -519,7 +515,7 @@ impl Segment {
         let mut out: Vec<Extent> = Vec::with_capacity(old.len().min(256));
         let mut seq: Vec<NodeId> = Vec::new();
         let mut seq_start = 0u64;
-        for e in &old {
+        for e in old {
             if e.len <= COMPACT_SHORT {
                 if seq.is_empty() {
                     seq_start = e.start;
@@ -529,36 +525,11 @@ impl Segment {
                 }
             } else {
                 flush_seq(&mut out, seq_start, &mut seq);
-                append_extent(&mut out, e.clone());
+                append_extent(&mut out, e);
             }
         }
         flush_seq(&mut out, seq_start, &mut seq);
         self.extents = out;
-    }
-
-    /// Merge mergeable neighbors in `extents[idx.saturating_sub(1)..=idx+2]`
-    /// after a splice at `idx`.
-    fn merge_around(&mut self, idx: usize) {
-        let mut i = idx.saturating_sub(1);
-        while i + 1 < self.extents.len() && i <= idx + 2 {
-            let (a, b) = (&self.extents[i], &self.extents[i + 1]);
-            let merged = match (&a.pat, &b.pat) {
-                (Pattern::Const(x), Pattern::Const(y)) if x == y => true,
-                (Pattern::Cycle(xs), Pattern::Cycle(ys)) if xs.len() == ys.len() => {
-                    // b is the aligned continuation of a's cycle.
-                    let k = xs.len() as u64;
-                    let shift = (a.len % k) as usize;
-                    (0..xs.len()).all(|j| ys[j] == xs[(shift + j) % xs.len()])
-                }
-                _ => false,
-            };
-            if merged {
-                self.extents[i].len += self.extents[i + 1].len;
-                self.extents.remove(i + 1);
-            } else {
-                i += 1;
-            }
-        }
     }
 
     /// Visit the maximal constant-node runs covering `[start, start+len)`
@@ -574,7 +545,7 @@ impl Segment {
         let mut run_start = start;
         let mut run_node = self.extents[idx].node_at(start);
         let mut pos = start;
-        'outer: while pos < end {
+        while pos < end {
             let e = &self.extents[idx];
             let e_end = e.end().min(end);
             match &e.pat {
@@ -588,10 +559,9 @@ impl Segment {
                     }
                     pos = e_end;
                 }
-                Pattern::Cycle(nodes) => {
-                    let k = nodes.len() as u64;
+                pat @ Pattern::Cycle { .. } => {
                     while pos < e_end {
-                        let n = nodes[((pos - e.start) % k) as usize];
+                        let n = pat.node_at(pos);
                         if n != run_node {
                             if !f(run_start, pos - run_start, run_node) {
                                 return;
@@ -603,48 +573,37 @@ impl Segment {
                     }
                 }
             }
-            if pos < end {
-                idx += 1;
-            } else {
-                break 'outer;
-            }
+            idx += 1;
         }
         f(run_start, end - run_start, run_node);
     }
 
-    /// Pages in `[start, start+len)` that are **not** on the node `policy`
-    /// assigns them (relative to this range), as maximal
-    /// `(run, from, to)` moves in ascending page order. This is the page
-    /// set an `MPOL_MF_MOVE` `mbind` migrates, and the shape the range
-    /// migration queue consumes. O(extents + policy blocks + emitted
-    /// runs); wholly complying pieces — including a re-applied interleave
-    /// whose cycle aligns with the existing extents — are skipped without
-    /// touching their pages.
-    pub fn non_complying_runs(
+    /// The pages of `[start, start+len)` that are **not** on the node
+    /// `policy` assigns them (relative to this range) — the page set an
+    /// `MPOL_MF_MOVE` `mbind` migrates — as [`MoveSpan`]s in ascending
+    /// page order: one span per placement piece (extent × policy block)
+    /// holding a moving page, recording the piece's current pattern and
+    /// its target. O(extents + policy blocks), however many pages move: a
+    /// first-touch run rebound to a uniform interleave is one span, not
+    /// one entry per page. Wholly complying pieces — including a
+    /// re-applied interleave whose cycle matches the existing extents —
+    /// emit nothing.
+    pub fn non_complying_spans(
         &self,
         start: u64,
         len: u64,
         policy: &MemPolicy,
         toucher: NodeId,
-    ) -> Result<Vec<MoveRun>, SimError> {
+    ) -> Result<Vec<MoveSpan>, SimError> {
         if start + len > self.len {
             return Err(SimError::RangeOutOfBounds { start, len, segment_len: self.len });
         }
-        let mut moves: Vec<MoveRun> = Vec::new();
+        let mut spans: Vec<MoveSpan> = Vec::new();
         if matches!(policy, MemPolicy::FirstTouch) || len == 0 {
             // First-touch never migrates existing pages.
-            return Ok(moves);
+            return Ok(spans);
         }
-        let push = |moves: &mut Vec<MoveRun>, p: u64, l: u64, from: NodeId, to: NodeId| {
-            if let Some(m) = moves.last_mut() {
-                if m.from == from && m.to == to && m.start + m.len == p {
-                    m.len += l;
-                    return;
-                }
-            }
-            moves.push(MoveRun { start: p, len: l, from, to });
-        };
-        let blocks = policy_blocks(policy, len, toucher);
+        let blocks = policy_blocks(policy, start, len, toucher);
         let end = start + len;
         let mut pos = start;
         let mut ext_idx = self.extent_index(start);
@@ -653,65 +612,26 @@ impl Segment {
             let e = &self.extents[ext_idx];
             let (b_rel, b_len, b_pat) = &blocks[blk_idx];
             let b_end = start + b_rel + b_len;
-            let piece_end = e.end().min(b_end).min(end);
-            match (&e.pat, b_pat) {
-                (Pattern::Const(c), TargetPat::Const(t)) => {
-                    if c != t {
-                        push(&mut moves, pos, piece_end - pos, *c, *t);
-                    }
-                }
-                (Pattern::Const(c), TargetPat::Cycle(tn)) => {
-                    let k = tn.len() as u64;
-                    for p in pos..piece_end {
-                        let t = tn[((p - start) % k) as usize];
-                        if t != *c {
-                            push(&mut moves, p, 1, *c, t);
-                        }
-                    }
-                }
-                (Pattern::Cycle(sn), TargetPat::Const(t)) => {
-                    let k = sn.len() as u64;
-                    for p in pos..piece_end {
-                        let c = sn[((p - e.start) % k) as usize];
-                        if c != *t {
-                            push(&mut moves, p, 1, c, *t);
-                        }
-                    }
-                }
-                (Pattern::Cycle(sn), TargetPat::Cycle(tn)) => {
-                    let (sk, tk) = (sn.len() as u64, tn.len() as u64);
-                    let aligned = sk == tk
-                        && (0..sk).all(|j| {
-                            sn[(((pos - e.start) + j) % sk) as usize]
-                                == tn[(((pos - start) + j) % tk) as usize]
-                        });
-                    if !aligned {
-                        for p in pos..piece_end {
-                            let c = sn[((p - e.start) % sk) as usize];
-                            let t = tn[((p - start) % tk) as usize];
-                            if c != t {
-                                push(&mut moves, p, 1, c, t);
-                            }
-                        }
-                    }
-                }
+            let piece_end = e.end().min(b_end);
+            let span = MoveSpan::new(pos, piece_end - pos, e.pat.clone(), b_pat.clone());
+            if span.pages() > 0 && !spans.last_mut().is_some_and(|last| last.try_extend(&span)) {
+                spans.push(span);
             }
             pos = piece_end;
-            if pos < end {
-                if pos == e.end() {
-                    ext_idx += 1;
-                }
-                if pos == b_end {
-                    blk_idx += 1;
-                }
+            if pos == e.end() {
+                ext_idx += 1;
+            }
+            if pos == b_end {
+                blk_idx += 1;
             }
         }
-        Ok(moves)
+        Ok(spans)
     }
 
-    /// Per-page expansion of [`Segment::non_complying_runs`] — the
-    /// historical interface, kept for tests and callers that want the
-    /// explicit page list.
+    /// The non-complying pages of `[start, start+len)` under `policy`, one
+    /// `(page, target)` per page, from `node_of` and
+    /// `MemPolicy::target_node` alone — the per-page oracle
+    /// [`Segment::non_complying_spans`] is tested against.
     pub fn non_complying(
         &self,
         start: u64,
@@ -719,33 +639,29 @@ impl Segment {
         policy: &MemPolicy,
         toucher: NodeId,
     ) -> Result<Vec<(u64, NodeId)>, SimError> {
-        let runs = self.non_complying_runs(start, len, policy, toucher)?;
-        let mut moves = Vec::new();
-        for r in runs {
-            for p in r.start..r.start + r.len {
-                moves.push((p, r.to));
-            }
+        if start + len > self.len {
+            return Err(SimError::RangeOutOfBounds { start, len, segment_len: self.len });
         }
-        Ok(moves)
+        if matches!(policy, MemPolicy::FirstTouch) {
+            return Ok(Vec::new());
+        }
+        Ok((0..len)
+            .map(|rel| (start + rel, policy.target_node(rel, len, toucher)))
+            .filter(|&(p, target)| self.node_of(p) != target)
+            .collect())
     }
 }
 
-/// Append `e` to a compaction output list, merging with the tail when the
-/// rule of [`Segment::merge_around`] applies (same-node constants; aligned
-/// cycle continuations).
-fn append_extent(out: &mut Vec<Extent>, e: Extent) {
+/// Append `e` to an extent list, merging it into the tail when both map
+/// their pages alike (same-node constants; cycles of equal mapping).
+/// Single-page cycles normalize to constants first.
+fn append_extent(out: &mut Vec<Extent>, mut e: Extent) {
+    if e.len == 1 && matches!(e.pat, Pattern::Cycle { .. }) {
+        e.pat = Pattern::Const(e.node_at(e.start));
+    }
     if let Some(last) = out.last_mut() {
         debug_assert_eq!(last.end(), e.start);
-        let merged = match (&last.pat, &e.pat) {
-            (Pattern::Const(x), Pattern::Const(y)) if x == y => true,
-            (Pattern::Cycle(xs), Pattern::Cycle(ys)) if xs.len() == ys.len() => {
-                let k = xs.len();
-                let shift = (last.len % k as u64) as usize;
-                (0..k).all(|j| ys[j] == xs[(shift + j) % k])
-            }
-            _ => false,
-        };
-        if merged {
+        if last.pat == e.pat {
             last.len += e.len;
             return;
         }
@@ -787,31 +703,12 @@ fn flush_seq(out: &mut Vec<Extent>, seq_start: u64, seq: &mut Vec<NodeId>) {
                 best_l = l;
             }
         }
-        let pat = if best_k == 1 {
-            Pattern::Const(rest[0])
-        } else {
-            Pattern::Cycle(rest[..best_k].to_vec().into_boxed_slice())
-        };
-        append_extent(out, Extent { start: seq_start + i as u64, len: best_l as u64, pat });
+        let start = seq_start + i as u64;
+        let pat = Pattern::cycle(&rest[..best_k], start);
+        append_extent(out, Extent { start, len: best_l as u64, pat });
         i += best_l;
     }
     seq.clear();
-}
-
-/// The sub-extent of `e` covering absolute pages `[a, b)`, with cycle
-/// phases re-folded.
-fn trim(e: &Extent, a: u64, b: u64) -> Extent {
-    debug_assert!(a >= e.start && b <= e.end() && a < b);
-    let pat = match &e.pat {
-        Pattern::Const(n) => Pattern::Const(*n),
-        Pattern::Cycle(nodes) => {
-            let k = nodes.len();
-            let shift = ((a - e.start) % k as u64) as usize;
-            let rotated: Vec<NodeId> = (0..k).map(|j| nodes[(shift + j) % k]).collect();
-            Pattern::Cycle(rotated.into_boxed_slice())
-        }
-    };
-    Extent { start: a, len: b - a, pat }
 }
 
 #[cfg(test)]
@@ -1088,7 +985,7 @@ mod tests {
     }
 
     #[test]
-    fn non_complying_runs_coalesce_and_skip_aligned_cycles() {
+    fn non_complying_spans_are_per_piece_and_skip_aligned_cycles() {
         let mut f = frames();
         let set = NodeSet::from_nodes([NodeId(0), NodeId(1)]);
         let s = Segment::place(
@@ -1102,13 +999,18 @@ mod tests {
         .unwrap();
         // Re-applying the same interleave is a no-op detected at the
         // extent level, without touching pages.
-        let runs = s.non_complying_runs(0, 1000, &MemPolicy::Interleave(set), NodeId(0)).unwrap();
-        assert!(runs.is_empty());
-        // Binding everything to node 0 moves exactly the node-1 slots.
-        let runs = s.non_complying_runs(0, 1000, &MemPolicy::Bind(NodeId(0)), NodeId(0)).unwrap();
+        let spans = s.non_complying_spans(0, 1000, &MemPolicy::Interleave(set), NodeId(0)).unwrap();
+        assert!(spans.is_empty());
+        // Binding everything to node 0 moves exactly the node-1 slots: one
+        // span, 500 moving pages.
+        let spans = s.non_complying_spans(0, 1000, &MemPolicy::Bind(NodeId(0)), NodeId(0)).unwrap();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].pages(), 500);
+        let mut runs = Vec::new();
+        spans[0].for_each_run(|a, l, from, to| runs.push((a, l, from, to)));
         assert_eq!(runs.len(), 500);
-        assert!(runs.iter().all(|r| r.len == 1 && r.from == NodeId(1) && r.to == NodeId(0)));
-        // A bind over a constant extent is a single coalesced run.
+        assert!(runs.iter().all(|r| r.1 == 1 && r.2 == NodeId(1) && r.3 == NodeId(0)));
+        // A bind over a constant extent is a single constant span.
         let mut f2 = frames();
         let s2 = Segment::place(
             SegmentKind::Shared,
@@ -1119,8 +1021,45 @@ mod tests {
             &no_fallback(4),
         )
         .unwrap();
-        let runs = s2.non_complying_runs(0, 1000, &MemPolicy::Bind(NodeId(3)), NodeId(0)).unwrap();
-        assert_eq!(runs, vec![MoveRun { start: 0, len: 1000, from: NodeId(2), to: NodeId(3) }]);
+        let spans =
+            s2.non_complying_spans(0, 1000, &MemPolicy::Bind(NodeId(3)), NodeId(0)).unwrap();
+        assert_eq!(spans, vec![MoveSpan::run(0, 1000, NodeId(2), NodeId(3))]);
+        // Rebinding it to a four-way interleave is one span too.
+        let all = NodeSet::first(4);
+        let spans =
+            s2.non_complying_spans(0, 1000, &MemPolicy::Interleave(all), NodeId(0)).unwrap();
+        assert_eq!(spans.len(), 1);
+        assert_eq!(spans[0].pages(), 750);
+    }
+
+    #[test]
+    fn write_spans_overwrites_in_one_pass() {
+        let mut f = frames();
+        let mut s = Segment::place(
+            SegmentKind::Shared,
+            100,
+            &MemPolicy::FirstTouch,
+            NodeId(0),
+            &mut f,
+            &no_fallback(4),
+        )
+        .unwrap();
+        let cyc = Pattern::cycle(&[NodeId(1), NodeId(2)], 10);
+        s.write_spans([(10, 20, &cyc), (30, 10, &cyc), (50, 1, &Pattern::Const(NodeId(3)))]);
+        // [10, 40) is one cycle extent: the two spans continue each other.
+        assert_eq!(s.extent_count(), 5);
+        assert_eq!(s.node_counts(), &[69, 15, 15, 1]);
+        for p in 0..100u64 {
+            let want = match p {
+                10..=39 => NodeId(1 + (p % 2) as u16),
+                50 => NodeId(3),
+                _ => NodeId(0),
+            };
+            assert_eq!(s.node_of(p), want, "page {p}");
+        }
+        assert!(s.holds(10, 30, &cyc));
+        assert!(!s.holds(9, 30, &cyc));
+        assert!(s.holds(40, 10, &Pattern::Const(NodeId(0))));
     }
 
     #[test]
@@ -1170,19 +1109,5 @@ mod tests {
         .unwrap();
         let moves = s.non_complying(0, 8, &MemPolicy::FirstTouch, NodeId(0)).unwrap();
         assert!(moves.is_empty());
-    }
-
-    #[test]
-    fn slot_count_is_exact() {
-        for k in 1..5u64 {
-            for a in 0..10u64 {
-                for b in a..12u64 {
-                    for j in 0..k {
-                        let naive = (a..b).filter(|i| i % k == j).count() as u64;
-                        assert_eq!(slot_count(a, b, k, j), naive, "a={a} b={b} k={k} j={j}");
-                    }
-                }
-            }
-        }
     }
 }

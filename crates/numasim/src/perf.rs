@@ -123,6 +123,21 @@ impl PerfCounters {
         pc.traffic_bytes += read + write;
     }
 
+    /// Record one migrated chunk of `bytes` for a process: read from node
+    /// `from` and written into node `to` — the two flows
+    /// [`PerfCounters::record_flow`] would record for it, minus their zero
+    /// terms (adding `0.0` to these non-negative sums changes no bit).
+    pub(crate) fn record_migration(&mut self, pid: ProcessId, from: usize, to: usize, bytes: f64) {
+        let n = self.n;
+        self.node_read_bytes[from] += bytes;
+        self.node_write_bytes[to] += bytes;
+        let pc = &mut self.procs[pid.0];
+        pc.flow_read_bytes[from * n + to] += bytes;
+        pc.flow_write_bytes[to * n + to] += bytes;
+        pc.traffic_bytes += bytes;
+        pc.traffic_bytes += bytes;
+    }
+
     /// Record one epoch's cycle accounting for a process.
     pub(crate) fn record_cycles(&mut self, pid: ProcessId, cycles: f64, stall_cycles: f64) {
         let pc = &mut self.procs[pid.0];

@@ -12,6 +12,10 @@
 //! the repo's artifacts use (timestamps, page counts, event ids all stay
 //! well below 2^53).
 //!
+//! Arrays and objects nest at most [`MAX_DEPTH`] levels deep. The reader
+//! recurses once per level, so a deeper document is refused with a
+//! [`JsonErrorKind::TooDeep`] error instead of overflowing the stack.
+//!
 //! # Examples
 //!
 //! ```
@@ -24,13 +28,28 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The repo's own
+/// documents nest fewer than ten levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parse failure: where it happened and what the reader expected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
+    /// What went wrong.
+    pub kind: JsonErrorKind,
     /// Byte offset of the failure.
     pub offset: usize,
     /// What the reader expected there.
     pub message: String,
+}
+
+/// The class of a [`JsonError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The text is not valid JSON.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for JsonError {
@@ -62,7 +81,7 @@ pub enum Json {
 impl Json {
     /// Parse a complete JSON document (trailing garbage is an error).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser { bytes: text.as_bytes(), pos: 0, depth: 0 };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -127,11 +146,30 @@ impl Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn err(&self, expected: &str) -> JsonError {
-        JsonError { offset: self.pos, message: format!("expected {expected}") }
+        JsonError {
+            kind: JsonErrorKind::Syntax,
+            offset: self.pos,
+            message: format!("expected {expected}"),
+        }
+    }
+
+    /// Enter one array or object level, refusing past [`MAX_DEPTH`].
+    fn descend(&mut self) -> Result<(), JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError {
+                kind: JsonErrorKind::TooDeep,
+                offset: self.pos,
+                message: format!("at most {MAX_DEPTH} levels of nesting"),
+            });
+        }
+        self.depth += 1;
+        Ok(())
     }
 
     fn skip_ws(&mut self) {
@@ -159,8 +197,16 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object_value(),
-            Some(b'[') => self.array_value(),
+            Some(b'{' | b'[') => {
+                self.descend()?;
+                let v = if self.bytes[self.pos] == b'{' {
+                    self.object_value()
+                } else {
+                    self.array_value()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::String(self.string_value()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -345,6 +391,23 @@ mod tests {
         assert!(err.to_string().contains("end of document"), "{err}");
         let err = Json::parse("{\"name\": ").unwrap_err();
         assert_eq!(err.offset, 9);
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_typed_error() {
+        let at_cap = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&at_cap).is_ok());
+        let past_cap = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        let err = Json::parse(&past_cap).unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::TooDeep);
+        assert_eq!(err.offset, MAX_DEPTH);
+        // 50,000 open brackets used to overflow the stack and abort.
+        let err = Json::parse(&"[".repeat(50_000)).unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::TooDeep);
+        let err = Json::parse(&"{\"a\":".repeat(50_000)).unwrap_err();
+        assert_eq!(err.kind, JsonErrorKind::TooDeep);
+        // Ordinary syntax errors keep their own kind.
+        assert_eq!(Json::parse("[1,]").unwrap_err().kind, JsonErrorKind::Syntax);
     }
 
     #[test]

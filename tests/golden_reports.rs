@@ -3,12 +3,16 @@
 //! quick scale) must stay byte-identical across refactors, modulo the
 //! schema version header. The goldens under `tests/golden/` were blessed
 //! before the tiered-node refactor; any physics or serialization drift on
-//! the old machines fails these tests.
+//! the old machines fails these tests. `fig_tiered_quick` pins the tiered
+//! machine the same way: it was blessed before the migration queue moved
+//! from per-page entries to pattern spans.
 //!
 //! Regenerate deliberately with:
 //! `BWAP_BLESS=1 cargo test --test golden_reports`.
 
-use bwap_bench::experiments::{fig1a_spec, fig4_spec, fig_fleet_spec, table1_spec};
+use bwap_bench::experiments::{
+    fig1a_spec, fig4_spec, fig_fleet_spec, fig_tiered_spec, table1_spec,
+};
 use bwap_runtime::run_campaign;
 use std::path::PathBuf;
 
@@ -61,4 +65,12 @@ fn fig4_quick_report_matches_golden() {
 #[test]
 fn fig_fleet_quick_report_matches_golden() {
     check("fig_fleet_quick", &run_campaign(&fig_fleet_spec(true)).deterministic_json());
+}
+
+/// The tiered machine under capacity pressure: the one canned report that
+/// exercises page migration end to end, including completions that drop
+/// pages because the destination tier is full.
+#[test]
+fn fig_tiered_quick_report_matches_golden() {
+    check("fig_tiered_quick", &run_campaign(&fig_tiered_spec(true)).deterministic_json());
 }

@@ -94,3 +94,14 @@ fn phase_switches_are_deterministic_across_runs_and_shards() {
     let r = one.cells[0].result().expect("cell ran");
     assert!(r.phase_switches.unwrap() >= 2, "switches: {:?}", r.phase_switches);
 }
+
+/// A phase trace nested 50,000 levels deep is a typed JSON error, not a
+/// stack overflow that aborts the process.
+#[test]
+fn deeply_nested_phase_trace_is_an_error_not_an_abort() {
+    let hostile = "[".repeat(50_000);
+    let err = bwap_workloads::trace::parse_phase_trace(&hostile).unwrap_err();
+    assert!(matches!(err, bwap_workloads::trace::TraceError::Json { .. }), "{err:?}");
+    let err = bwap_workloads::json::Json::parse(&hostile).unwrap_err();
+    assert_eq!(err.kind, bwap_workloads::json::JsonErrorKind::TooDeep);
+}
